@@ -24,17 +24,41 @@ let bench_arg =
   let doc = "Benchmark name (" ^ String.concat ", " Spec.names ^ ")." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
+(* Integer flags are range-checked at parse time: a bad value is a
+   usage error (exit 2, see the bottom of this file) naming the flag,
+   never an uncaught [Invalid_argument] from deep inside a run. *)
+let checked_int ~what ok =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when ok n -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))),
+      Format.pp_print_int )
+
+(* The coherence directory keeps each line's sharers in one int mask. *)
+let max_cpus = Sys.int_size
+
 let cpus_arg =
-  Arg.(value & opt int 8 & info [ "p"; "cpus" ] ~docv:"N" ~doc:"Number of processors.")
+  Arg.(
+    value
+    & opt (checked_int ~what:(Printf.sprintf "a processor count in 1..%d" max_cpus) (fun n ->
+               n >= 1 && n <= max_cpus))
+        8
+    & info [ "p"; "cpus" ] ~docv:"N" ~doc:"Number of processors.")
 
 let scale_arg =
   Arg.(
-    value & opt int 16
+    value
+    & opt (checked_int ~what:"a positive power of two" (fun n ->
+               n > 0 && Pcolor.Util.Bits.is_pow2 n))
+        16
     & info [ "s"; "scale" ]
         ~docv:"S"
         ~doc:
           "Data-set/cache scale divisor (1 = the paper's full geometry; 4 recommended for \
-           experiments; 16 for quick looks). Use 1, 4, 16, 64 or 256.")
+           experiments; 16 for quick looks). Use 1, 4, 16, 64 or 256; 256 needs a machine \
+           whose scaled external cache keeps at least 2 page colors ($(b,sgi-4mb), \
+           $(b,alpha)).")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (bin-hopping race).")
 
@@ -116,7 +140,9 @@ let metrics_out_arg =
 let timeline_arg =
   Arg.(
     value
-    & opt ~vopt:(Some Pcolor.Obs.Sampler.default_epoch_cycles) (some int) None
+    & opt ~vopt:(Some Pcolor.Obs.Sampler.default_epoch_cycles)
+        (some (checked_int ~what:"a positive cycle count" (fun n -> n > 0)))
+        None
     & info [ "timeline" ] ~docv:"CYCLES"
         ~doc:
           "Sample the full counter set every $(docv) simulated cycles (default 1000000 when \
@@ -200,7 +226,13 @@ let config_of ?slices ?llc_hash machine n_cpus scale =
     | `Sgi4 -> Config.sgi_4mb ~n_cpus ()
     | `Alpha -> Config.alphaserver ~n_cpus ()
   in
-  let cfg = Config.scale base scale in
+  let cfg =
+    try Config.scale base scale
+    with Invalid_argument _ ->
+      Printf.eprintf "--scale: 1/%d leaves fewer than 2 page colors on the %s machine\n" scale
+        (machine_name machine);
+      exit 2
+  in
   match (slices, llc_hash) with
   | None, None -> cfg
   | _ -> (
@@ -1325,12 +1357,15 @@ let version_cmd =
 let () =
   Pcolor.Obs.Log.init ();
   let doc = "compiler-directed page coloring for multiprocessors (ASPLOS 1996) — reproduction" in
-  exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "pcolor" ~doc ~version:(version_string ()))
-          [
-            list_cmd; run_cmd; compare_cmd; mix_cmd; probe_cmd; record_cmd; replay_cmd; pattern_cmd;
-            hints_cmd; summary_cmd; run_file_cmd; dump_cmd; explain_cmd; timeline_cmd; diff_cmd;
-            perf_cmd; version_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group
+         (Cmd.info "pcolor" ~doc ~version:(version_string ()))
+         [
+           list_cmd; run_cmd; compare_cmd; mix_cmd; probe_cmd; record_cmd; replay_cmd; pattern_cmd;
+           hints_cmd; summary_cmd; run_file_cmd; dump_cmd; explain_cmd; timeline_cmd; diff_cmd;
+           perf_cmd; version_cmd;
+         ])
+  in
+  (* a command-line usage error exits 2, like every usage check above *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -18,10 +18,12 @@
     every external-cache miss and every prefetch, so the representation
     matters: when the whole per-line state fits in 62 bits (it does for
     every paper configuration) it is packed into a single immediate int
-    stored in an open-addressing {!Pcolor_util.Itab} — one flat-array
-    probe, no boxing.  Wider configurations (many CPUs or very long
-    lines) fall back to the original record-in-[Hashtbl] representation
-    with identical semantics.
+    stored in a {!Pcolor_util.Densemap} — a direct-indexed array over
+    physical line numbers, so a probe is one load at the line's own
+    index, with lines past a cap spilling to a hash table.  Wider
+    configurations (many CPUs or very long lines) fall back to the
+    original record-in-[Hashtbl] representation with identical
+    semantics.
 
     Packed word layout, low to high:
     {v
@@ -30,9 +32,10 @@
       next bit                    dirty
       bits [.., +words_per_line)  wmask
     v}
-    A line that was never entered packs to 0, and the absent sentinel is
-    also 0 — [inspect] cannot tell them apart and does not need to: both
-    mean "incoherent, never written, clean". *)
+    Packed words are non-negative; the map reads [-1] for a line that
+    was never entered.  [inspect] and the recorders treat that like the
+    all-zero word — "incoherent, never written, clean" — while
+    [writeback] and [evict] leave an absent line absent. *)
 
 type line_state = {
   mutable valid_mask : int; (* bit c set: CPU c's cached copy is coherent *)
@@ -42,7 +45,7 @@ type line_state = {
 }
 
 type repr =
-  | Packed of Pcolor_util.Itab.t (* line number -> packed word *)
+  | Packed of Pcolor_util.Densemap.t (* line number -> packed word, -1 = absent *)
   | Boxed of (int, line_state) Hashtbl.t (* line number -> state *)
 
 type t = {
@@ -72,11 +75,11 @@ let create ?(n_cpus = 32) ~line_size () =
   let fits = n_cpus + writer_bits + 1 + words_per_line <= Sys.int_size - 1 in
   {
     repr =
-      (* start small and let the table grow: pre-sizing for the largest
+      (* start small and let the map grow: pre-sizing for the largest
          runs made every machine pay ~1 MB of zeroed arrays up front,
          which dominated creation time for the scaled-down experiments *)
-      (if fits then Packed (Pcolor_util.Itab.create ~capacity:(1 lsl 12) ())
-       else Boxed (Hashtbl.create (1 lsl 12)));
+      (if fits then Packed (Pcolor_util.Densemap.create ())
+       else Boxed (Hashtbl.create 1024));
     word_shift = 3;
     words_per_line_mask = words_per_line - 1;
     valid_all = (1 lsl n_cpus) - 1;
@@ -102,6 +105,11 @@ let[@inline] pack t ~valid ~writer ~dirty ~wmask =
   lor ((writer + 1) lsl t.writer_shift)
   lor (if dirty then t.dirty_bit else 0)
   lor (wmask lsl t.wmask_shift)
+
+(* the packed word of [line], absent lines reading as the all-zero word *)
+let[@inline] packed_word m line =
+  let w = Pcolor_util.Densemap.find m line in
+  if w < 0 then 0 else w
 
 let get_boxed table line =
   match Hashtbl.find_opt table line with
@@ -135,8 +143,8 @@ let[@inline] v_sharing v =
     with {!v_coherent}, {!v_sharing} and {!v_remote_dirty}. *)
 let inspect t ~cpu ~line ~addr =
   match t.repr with
-  | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+  | Packed m ->
+    let w = packed_word m line in
     let coherent = w land (1 lsl cpu) <> 0 in
     let writer = p_writer t w in
     let sharing =
@@ -168,12 +176,12 @@ let inspect t ~cpu ~line ~addr =
     caller can also clean the remote cache's dirty bit). *)
 let record_read t ~cpu ~line =
   match t.repr with
-  | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+  | Packed m ->
+    let w = packed_word m line in
     let writer = p_writer t w in
     let forced_clean = p_dirty t w && writer >= 0 && writer <> cpu in
     let w = if forced_clean then w land lnot t.dirty_bit else w in
-    Pcolor_util.Itab.set tab line (w lor (1 lsl cpu));
+    Pcolor_util.Densemap.set m line (w lor (1 lsl cpu));
     forced_clean
   | Boxed table ->
     let s = get_boxed table line in
@@ -190,12 +198,12 @@ let record_read t ~cpu ~line =
     to account an upgrade/invalidate bus transaction. *)
 let record_write t ~cpu ~line ~addr =
   match t.repr with
-  | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+  | Packed m ->
+    let w = packed_word m line in
     let me = 1 lsl cpu in
     let invalidated = p_valid t w land lnot me in
     let wmask = if p_writer t w <> cpu then 0 else p_wmask t w in
-    Pcolor_util.Itab.set tab line
+    Pcolor_util.Densemap.set m line
       (pack t ~valid:me ~writer:cpu ~dirty:true ~wmask:(wmask lor word_bit t addr));
     invalidated
   | Boxed table ->
@@ -215,12 +223,11 @@ let record_write t ~cpu ~line ~addr =
     dirty (victim eviction wrote it to memory). *)
 let writeback t ~cpu ~line =
   match t.repr with
-  | Packed tab ->
-    (* min_int sentinel distinguishes "absent" from a present all-zero
-       word, so a writeback to an untracked line does not create one *)
-    let w = Pcolor_util.Itab.find tab line ~default:min_int in
-    if w <> min_int && p_writer t w = cpu then
-      Pcolor_util.Itab.set tab line (w land lnot t.dirty_bit)
+  | Packed m ->
+    (* an absent line (-1) has no writer, so a writeback to an untracked
+       line does not create one *)
+    let w = Pcolor_util.Densemap.find m line in
+    if w >= 0 && p_writer t w = cpu then Pcolor_util.Densemap.set m line (w land lnot t.dirty_bit)
   | Boxed table -> (
     match Hashtbl.find_opt table line with
     | Some s when s.writer = cpu -> s.dirty <- false
@@ -230,9 +237,9 @@ let writeback t ~cpu ~line =
     dropped the line, keeping directory state consistent with caches. *)
 let evict t ~cpu ~line =
   match t.repr with
-  | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:min_int in
-    if w <> min_int then Pcolor_util.Itab.set tab line (w land lnot (1 lsl cpu))
+  | Packed m ->
+    let w = Pcolor_util.Densemap.find m line in
+    if w >= 0 then Pcolor_util.Densemap.set m line (w land lnot (1 lsl cpu))
   | Boxed table -> (
     match Hashtbl.find_opt table line with
     | Some s -> s.valid_mask <- s.valid_mask land lnot (1 lsl cpu)
@@ -245,11 +252,11 @@ let packed t = match t.repr with Packed _ -> true | Boxed _ -> false
 (** [lines t] is the number of lines the directory tracks (test helper). *)
 let lines t =
   match t.repr with
-  | Packed tab -> Pcolor_util.Itab.length tab
+  | Packed m -> Pcolor_util.Densemap.length m
   | Boxed table -> Hashtbl.length table
 
 (** [reset t] forgets all sharing state. *)
 let reset t =
   match t.repr with
-  | Packed tab -> Pcolor_util.Itab.reset tab
+  | Packed m -> Pcolor_util.Densemap.reset m
   | Boxed table -> Hashtbl.reset table

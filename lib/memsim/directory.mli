@@ -5,10 +5,11 @@
 
     Consulted on every external-cache miss and every prefetch, so the
     per-line state (valid mask, writer, dirty, written-word mask) is
-    packed into a single immediate int in an open-addressing table when
-    it fits in 62 bits — which covers every paper configuration — with
-    the original record-per-line [Hashtbl] as a guarded fallback for
-    wider geometries. *)
+    packed into a single immediate int when it fits in 62 bits — which
+    covers every paper configuration — and stored in an array indexed
+    directly by physical line number ({!Pcolor_util.Densemap}), with the
+    original record-per-line [Hashtbl] as a guarded fallback for wider
+    geometries. *)
 
 type t
 

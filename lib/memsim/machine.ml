@@ -86,16 +86,17 @@ type cpu = {
   pf_inflight : int array; (* completion times of outstanding prefetches *)
   mutable pf_count : int; (* live entries in [pf_inflight] *)
   mutable time : int; (* local cycle counter *)
-  (* translation memo: a small direct-mapped vpage->frame cache, each
-     entry valid while the TLB generation it was filled under is
+  (* translation memo: a small direct-mapped vpage->TLB-slot cache,
+     each entry valid while the TLB generation it was filled under is
      unchanged — i.e. across recency refreshes but not across any
-     insert/invalidate/flush — so taking the fast path leaves TLB miss
-     counts, recency order and eviction victims bit-identical to always
-     looking up.  Multiple entries matter because a nest cycling
-     through several arrays alternates pages on consecutive references,
-     which defeated the old single-entry memo. *)
+     content change — so the slot still holds the translation, and a
+     memo hit replays the TLB hit on it ([Tlb.touch]) without probing.
+     TLB miss counts, recency order and eviction victims stay
+     bit-identical to always looking up.  Multiple entries matter
+     because a nest cycling through several arrays alternates pages on
+     consecutive references. *)
   memo_vpage : int array; (* -1 = invalid *)
-  memo_frame : int array;
+  memo_slot : int array;
   memo_gen : int array;
   stats : cpu_stats;
 }
@@ -177,13 +178,13 @@ let create ?(obs = Pcolor_obs.Ctx.disabled) (cfg : Config.t) =
       l2 = Slice.create cfg.l2 ~n_slices:cfg.l2_slices ~hash:l2_hash ~page_bits:l2_page_bits;
       shadow = Shadow.create cfg.l2;
       tlb = Tlb.create ~entries:cfg.tlb_entries;
-      seen = Pcolor_util.Bitset.create (1 lsl 17);
+      seen = Pcolor_util.Bitset.create 1024;
       pf_ready = Pcolor_util.Itab.create ~capacity:64 ();
       pf_inflight = Array.make (max 1 cfg.max_outstanding_prefetches) 0;
       pf_count = 0;
       time = 0;
       memo_vpage = Array.make memo_slots (-1);
-      memo_frame = Array.make memo_slots 0;
+      memo_slot = Array.make memo_slots 0;
       memo_gen = Array.make memo_slots 0;
       stats = make_stats ();
     }
@@ -277,24 +278,25 @@ let paddr_of t ~frame ~vaddr = (frame lsl t.page_bits) lor (vaddr land t.page_ma
    faults to the kernel callback. Returns the physical address.
 
    The per-CPU memo short-circuits the TLB probe for the overwhelmingly
-   common consecutive-references-to-one-page case: while the TLB
-   generation is unchanged the memoized entry is provably still
-   resident, so a real lookup would hit — [Tlb.touch] replays exactly
-   that hit's counter and recency effects. *)
+   common case of references to a handful of recent pages: while the
+   TLB generation is unchanged the memoized slot provably still holds
+   the translation, so a real lookup would hit — [Tlb.touch] replays
+   exactly that hit's counter and recency effects on the slot. *)
 let translate_addr t c ~translate vaddr =
   let vpage = vpage_of t vaddr in
-  let slot = vpage land memo_mask in
-  let frame =
+  let m = vpage land memo_mask in
+  let slot =
     if
-      Array.unsafe_get c.memo_vpage slot = vpage
-      && Array.unsafe_get c.memo_gen slot = Tlb.generation c.tlb
+      Array.unsafe_get c.memo_vpage m = vpage
+      && Array.unsafe_get c.memo_gen m = Tlb.generation c.tlb
     then begin
-      Tlb.touch c.tlb vpage;
-      Array.unsafe_get c.memo_frame slot
+      let slot = Array.unsafe_get c.memo_slot m in
+      Tlb.touch c.tlb slot;
+      slot
     end
     else begin
-      let frame =
-        let hit = Tlb.lookup_frame c.tlb vpage in
+      let slot =
+        let hit = Tlb.lookup_slot c.tlb vpage in
         if hit >= 0 then hit
         else begin
           c.stats.tlb_misses <- c.stats.tlb_misses + 1;
@@ -310,16 +312,16 @@ let translate_addr t c ~translate vaddr =
                 "page-fault"
             | None -> ()
           end;
-          Tlb.insert c.tlb ~vpage ~frame;
-          frame
+          Tlb.insert_slot c.tlb ~vpage ~frame
         end
       in
-      Array.unsafe_set c.memo_vpage slot vpage;
-      Array.unsafe_set c.memo_frame slot frame;
-      Array.unsafe_set c.memo_gen slot (Tlb.generation c.tlb);
-      frame
+      Array.unsafe_set c.memo_vpage m vpage;
+      Array.unsafe_set c.memo_slot m slot;
+      Array.unsafe_set c.memo_gen m (Tlb.generation c.tlb);
+      slot
     end
   in
+  let frame = Tlb.slot_frame c.tlb slot in
   paddr_of t ~frame ~vaddr
 
 (* Invalidate every other CPU's cached copies of a line the writer just
@@ -494,11 +496,11 @@ let prefetch_cpu t c ~vaddr =
   let frame =
     (* the memo proves residency while the generation is unchanged, and a
        probe has no counter or recency effects to replay *)
-    let slot = vpage land memo_mask in
+    let m = vpage land memo_mask in
     if
-      Array.unsafe_get c.memo_vpage slot = vpage
-      && Array.unsafe_get c.memo_gen slot = Tlb.generation c.tlb
-    then Array.unsafe_get c.memo_frame slot
+      Array.unsafe_get c.memo_vpage m = vpage
+      && Array.unsafe_get c.memo_gen m = Tlb.generation c.tlb
+    then Tlb.slot_frame c.tlb (Array.unsafe_get c.memo_slot m)
     else Tlb.probe_frame c.tlb vpage
   in
   if frame < 0 then s.pf_dropped_tlb <- s.pf_dropped_tlb + 1

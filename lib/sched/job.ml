@@ -7,7 +7,7 @@
     [asid × va_span] after layout (see {!Pcolor_runtime.Run.prepare}),
     where [va_span] is a power of two that is a multiple of
     [n_colors × page_size].  The jobs' virtual pages are then disjoint,
-    so the existing packed-int [Itab] tables behind {!Pcolor_memsim.Tlb}
+    so the existing vpage-keyed tables behind {!Pcolor_memsim.Tlb}
     and {!Pcolor_vm.Page_table} — and the virtually-indexed L1 — are
     naturally ASID-tagged, while [vpage mod n_colors] is unchanged and
     every per-job policy behaves exactly as it would alone.  ASID 0's

@@ -11,7 +11,7 @@ type t = {
 }
 
 (** [create ()] is an empty page table. *)
-let create () = { map = Hashtbl.create (1 lsl 14); rev = Hashtbl.create (1 lsl 14); mapped = 0 }
+let create () = { map = Hashtbl.create 64; rev = Hashtbl.create 64; mapped = 0 }
 
 (** [find t vpage] is the frame backing [vpage], if mapped. *)
 let find t vpage = Hashtbl.find_opt t.map vpage

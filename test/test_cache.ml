@@ -204,6 +204,85 @@ let test_tlb_flush_invalidate () =
   Tlb.flush t;
   Alcotest.(check int) "flushed" 0 (Tlb.occupancy t)
 
+(* Differential test of the slot-indexed TLB against a naive LRU list
+   (most recent first).  Every step compares return values, counters,
+   occupancy and the full vpage -> frame contents (so eviction victims
+   must agree), and checks that [generation] moves exactly when the
+   contents do.  [touch] replays a hit through the slot memoized by the
+   last [lookup_slot] hit or [insert_slot], as the machine's translation
+   memo does, and only while the generation is unchanged — when the
+   slot must still hold its page.  Inserts and hits dominate the op mix
+   and a flush is one draw in 40, so most sequences fill the TLB and
+   evict under mixed recency. *)
+let prop_tlb_matches_list_lru =
+  let n_keys = 12 in
+  QCheck.Test.make ~name:"tlb matches list LRU model" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size (Gen.int_range 1 200)
+           (triple
+              (frequencyl ~print:string_of_int
+                 [ (6, 0); (6, 1); (4, 2); (12, 3); (3, 4); (1, 5); (8, 6) ])
+              (int_range 0 (n_keys - 1)) (int_range 0 3))))
+    (fun (entries, ops) ->
+      let t = Tlb.create ~entries in
+      let model = ref [] and hits = ref 0 and misses = ref 0 in
+      let memo = ref None in
+      let find v = Option.value ~default:(-1) (List.assoc_opt v !model) in
+      let promote v f = model := (v, f) :: List.remove_assoc v !model in
+      let hit v =
+        incr hits;
+        promote v (find v)
+      in
+      let contents () = List.sort compare !model in
+      List.for_all
+        (fun (op, v, f) ->
+          let before = contents () and gen = Tlb.generation t in
+          let ok =
+            match op with
+            | 0 ->
+              let want = find v in
+              if want >= 0 then hit v else incr misses;
+              Tlb.lookup_frame t v = want
+            | 1 -> (
+              match !memo with
+              | Some (mv, s, g) when Tlb.generation t = g ->
+                let ok = Tlb.slot_frame t s = find mv in
+                Tlb.touch t s;
+                hit mv;
+                ok
+              | _ -> true)
+            | 2 -> Tlb.probe_frame t v = find v
+            | 3 ->
+              if find v < 0 && List.length !model >= entries then
+                model := List.filteri (fun i _ -> i < entries - 1) !model;
+              promote v f;
+              let s = Tlb.insert_slot t ~vpage:v ~frame:f in
+              memo := Some (v, s, Tlb.generation t);
+              Tlb.slot_frame t s = f
+            | 4 ->
+              model := List.remove_assoc v !model;
+              Tlb.invalidate t v;
+              true
+            | 5 ->
+              model := [];
+              Tlb.flush t;
+              true
+            | _ ->
+              let want = find v in
+              if want >= 0 then hit v else incr misses;
+              let s = Tlb.lookup_slot t v in
+              if s >= 0 then memo := Some (v, s, Tlb.generation t);
+              (if want >= 0 then s >= 0 && Tlb.slot_frame t s = want else s = -1)
+          in
+          ok
+          && Tlb.hits t = !hits
+          && Tlb.misses t = !misses
+          && Tlb.occupancy t = List.length !model
+          && List.for_all (fun k -> Tlb.probe_frame t k = find k) (List.init n_keys Fun.id)
+          && (Tlb.generation t <> gen) = (contents () <> before))
+        ops)
+
 let test_bus_accounting () =
   let b = Bus.create () in
   Bus.add_data b 100;
@@ -257,6 +336,7 @@ let suite =
         prop_resident_bounded;
         prop_shadow_matches_reference;
         prop_shadow_state_matches_reference;
+        prop_tlb_matches_list_lru;
         prop_stretch_monotone;
       ];
   ]

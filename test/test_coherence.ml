@@ -59,24 +59,37 @@ let test_directory_word_mask_reset () =
    to the record-in-Hashtbl fallback.  n_cpus = 63 with 128 B lines needs
    63 + 6 + 1 + 16 = 86 bits, forcing the boxed repr; the default fits
    packed.  Drive both with the same random op sequence and compare every
-   return value and verdict. *)
+   return value and verdict.  Half the drawn lines lie past the packed
+   map's direct-array cap, so its hashed spill is exercised too.  Both
+   must track exactly the lines a read or write entered — a writeback or
+   evict of a line never entered creates no entry — and a reset must
+   leave both empty and reusable.  Ops are read, write, writeback, evict
+   and inspect-only in equal shares; a reset is one draw in 61, so most
+   stretches between resets build up long multi-op histories per line. *)
 let prop_directory_packed_matches_boxed =
+  let spill_base = Pcolor.Util.Densemap.direct_limit in
+  let line_of k = if k < 8 then k else spill_base + ((k - 8) * 977) in
   QCheck.Test.make ~name:"directory packed repr matches boxed repr" ~count:300
     QCheck.(
       list_of_size (Gen.int_range 1 150)
-        (quad (int_range 0 4) (int_range 0 3) (int_range 0 15) (int_range 0 15)))
+        (quad (int_range 0 60) (int_range 0 3) (int_range 0 15) (int_range 0 15)))
     (fun ops ->
       let dp = Dir.create ~line_size:128 () in
       let db = Dir.create ~n_cpus:63 ~line_size:128 () in
       assert (Dir.packed dp);
       assert (not (Dir.packed db));
+      let entered = Hashtbl.create 16 in
       List.for_all
-        (fun (op, cpu, line, word) ->
+        (fun (op, cpu, k, word) ->
+          let line = line_of k in
           let addr = (line * 128) + (word * 8) in
           let step_ok =
-            match op with
-            | 0 -> Dir.record_read dp ~cpu ~line = Dir.record_read db ~cpu ~line
+            match if op = 60 then 5 else op mod 5 with
+            | 0 ->
+              Hashtbl.replace entered line ();
+              Dir.record_read dp ~cpu ~line = Dir.record_read db ~cpu ~line
             | 1 ->
+              Hashtbl.replace entered line ();
               Dir.record_write dp ~cpu ~line ~addr = Dir.record_write db ~cpu ~line ~addr
             | 2 ->
               Dir.writeback dp ~cpu ~line;
@@ -86,6 +99,11 @@ let prop_directory_packed_matches_boxed =
               Dir.evict dp ~cpu ~line;
               Dir.evict db ~cpu ~line;
               true
+            | 5 ->
+              Hashtbl.reset entered;
+              Dir.reset dp;
+              Dir.reset db;
+              Dir.lines dp = 0
             | _ -> true
           in
           let vp = Dir.inspect dp ~cpu ~line ~addr in
@@ -94,7 +112,8 @@ let prop_directory_packed_matches_boxed =
           && Dir.v_coherent vp = Dir.v_coherent vb
           && Dir.v_remote_dirty vp = Dir.v_remote_dirty vb
           && Dir.v_sharing vp = Dir.v_sharing vb
-          && Dir.lines dp = Dir.lines db)
+          && Dir.lines dp = Hashtbl.length entered
+          && Dir.lines db = Hashtbl.length entered)
         ops)
 
 let test_mclass () =
